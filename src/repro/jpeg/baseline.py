@@ -1,12 +1,16 @@
-"""Baseline sequential JPEG encoder (SOF0, one interleaved scan).
+"""Baseline sequential JPEG encoder (SOF0), and the scan coder that the
+baseline and progressive encoders share.
 
-Entropy coding runs in two passes per scan: a symbol-gathering pass
-(producing ``(symbol, extra_value, extra_bits)`` ops) drives optimal
-Huffman table construction, then the ops are written out. This mirrors
-libjpeg's ``-optimize`` path and keeps one table-building code path for
-both baseline and progressive encoders.
+``scan_ops`` is the one entropy coder: it turns any scan, a spectral
+band ss..se of one or more components, into ``(table, symbol,
+extra_value, extra_bits)`` ops. A baseline file is one interleaved scan
+over 0..63 whose end-of-band runs all have length 1, i.e. plain EOBs.
+``encode_scans`` counts the ops per Huffman table, builds optimal tables
+from the counts, then writes the ops out. This mirrors libjpeg's
+``-optimize`` path.
 """
 import struct
+from collections import defaultdict
 
 import numpy as np
 
@@ -15,60 +19,87 @@ from .codec import CoeffImage, forward
 from .huffman import BitWriter, build_optimal_table, magnitude_bits
 from .quant import ZIGZAG
 
-Ops = list[tuple[int, int, int]]  # (huffman symbol, extra value, extra bit count)
+# (Huffman table (class, id), symbol, extra value, extra bit count)
+Ops = list[tuple[tuple[int, int], int, int, int]]
+# A scan as its SOS header gives it: (component index, DC table id, AC
+# table id) per scan component, then the zigzag band Ss..Se.
+Scan = tuple[list[tuple[int, int, int]], int, int]
 
 
-def _dc_op(diff: int) -> tuple[int, int, int]:
-    bits, size = magnitude_bits(diff)
-    return size, bits, size
+def scan_ops(components: list[tuple[np.ndarray, int, int]], ss: int, se: int,
+             max_eobrun: int) -> Ops:
+    """Ops of one scan over the zigzag band ss..se (T.81 F.1.2, G.1.2.2).
 
-
-def sequential_scan_ops(ci: CoeffImage) -> tuple[list[Ops], list[Ops]]:
-    """Per-component DC op streams and AC op streams, MCU order.
-
-    Returns (dc_ops[comp], ac_ops[comp]) where ops are already in the
-    order blocks are visited (raster MCU order, 4:4:4 so one block per
-    component per MCU).
+    ``components`` holds each scan component's (n_blocks, 64) coefficients
+    and its DC and AC table ids. Blocks are visited in raster order, and
+    within a block component by component. When ss == 0 each block starts
+    with its DC difference. The AC band max(ss, 1)..se is coded as
+    run/size symbols with ZRL. A band that ends in zeros adds one to the
+    end-of-band run, which is coded as EOBn before the next nonzero band
+    or once it reaches ``max_eobrun``.
     """
-    dc_ops: list[Ops] = [[] for _ in ci.components]
-    ac_ops: list[Ops] = [[] for _ in ci.components]
-    for c, comp in enumerate(ci.components):
-        pred = 0
-        for blk in comp.coeffs:
-            dc_ops[c].append(_dc_op(int(blk[0]) - pred))
-            pred = int(blk[0])
-            ops: Ops = []
-            run = 0
-            for k in range(1, 64):
-                v = int(blk[k])
-                if v == 0:
-                    run += 1
-                    continue
-                while run > 15:
-                    ops.append((0xF0, 0, 0))
-                    run -= 16
-                bits, size = magnitude_bits(v)
-                ops.append(((run << 4) | size, bits, size))
+    ops: Ops = []
+    eobrun = 0
+
+    def flush(key: tuple[int, int]) -> None:
+        nonlocal eobrun
+        if eobrun:
+            n = eobrun.bit_length() - 1
+            ops.append((key, n << 4, eobrun - (1 << n), n))
+            eobrun = 0
+
+    lo = max(ss, 1)
+    width = se + 1 - lo
+    comps = []
+    for coeffs, td, ta in components:
+        dcs = coeffs[:, 0].tolist() if ss == 0 else []
+        rows, ends = iter(()), []
+        if width > 0:
+            band = coeffs[:, lo : se + 1]
+            nz = band != 0
+            # One vectorised pass over all blocks finds each band's end
+            # (one past its last nonzero, 0 if all zero); only the
+            # nonzero bands are converted for the symbol loop.
+            any_nz = nz.any(axis=1)
+            ends = np.where(any_nz, width - np.argmax(nz[:, ::-1], axis=1), 0)
+            ends = ends.tolist()
+            rows = iter(band[any_nz].tolist())
+        comps.append((dcs, rows, ends, (0, td), (1, ta)))
+    preds = [0] * len(comps)
+    for b in range(components[0][0].shape[0]):
+        for j, (dcs, rows, ends, dc_key, ac_key) in enumerate(comps):
+            if ss == 0:
+                bits, size = magnitude_bits(dcs[b] - preds[j])
+                ops.append((dc_key, size, bits, size))
+                preds[j] = dcs[b]
+            if width <= 0:
+                continue
+            end = ends[b]
+            if end:
+                flush(ac_key)
                 run = 0
-            if run > 0:
-                ops.append((0x00, 0, 0))  # EOB
-            ac_ops[c].append(ops)
-    return dc_ops, ac_ops
+                for v in next(rows)[:end]:
+                    if v == 0:
+                        run += 1
+                        continue
+                    while run > 15:
+                        ops.append((ac_key, 0xF0, 0, 0))
+                        run -= 16
+                    bits, size = magnitude_bits(v)
+                    ops.append((ac_key, (run << 4) | size, bits, size))
+                    run = 0
+            if end < width:
+                eobrun += 1
+                if eobrun == max_eobrun:
+                    flush(ac_key)
+    # A run still open here is a single-component scan's: with several
+    # components max_eobrun is 1 and every run is flushed at once.
+    flush(comps[-1][4])
+    return ops
 
 
 def _dht_payload(table, tclass: int, tid: int) -> bytes:
     return bytes([tclass << 4 | tid]) + bytes(table.bits) + bytes(table.values)
-
-
-def _count(op_lists) -> np.ndarray:
-    f = np.zeros(256, dtype=np.int64)
-    for ops in op_lists:
-        if isinstance(ops, tuple):
-            f[ops[0]] += 1
-        else:
-            for sym, _, _ in ops:
-                f[sym] += 1
-    return f
 
 
 def _header(ci: CoeffImage, sof_marker: int) -> bytes:
@@ -84,47 +115,55 @@ def _header(ci: CoeffImage, sof_marker: int) -> bytes:
     return out
 
 
-def encode_baseline_from_coeffs(ci: CoeffImage) -> bytes:
-    """Serialize a coefficient image as baseline sequential JPEG."""
-    nc = ci.n_components
-    dc_ops, ac_ops = sequential_scan_ops(ci)
-    # Table ids: 0 = luma, 1 = chroma (components 2,3 share id 1).
-    tids = [0 if c == 0 else 1 for c in range(nc)]
-    dc_tabs, ac_tabs = {}, {}
-    for tid in sorted(set(tids)):
-        comps = [c for c in range(nc) if tids[c] == tid]
-        dc_tabs[tid] = build_optimal_table(
-            sum(_count(dc_ops[c]) for c in comps)
-        )
-        ac_tabs[tid] = build_optimal_table(
-            sum(_count([op for blk in ac_ops[c] for op in blk]) for c in comps)
-        )
+def encode_scans(ci: CoeffImage, sof: int, scans: list[Scan]) -> bytes:
+    """Serialize ``ci`` as a JPEG with frame type ``sof`` and these scans.
 
-    out = _header(ci, markers.SOF0)
-    for tid in sorted(dc_tabs):
+    One optimal Huffman table is built for each (class, id) the scans
+    use. SOF0 writes one DHT segment per table id; SOF2 puts every table
+    in a single DHT segment ahead of the first SOS, so each scan adds
+    only its ~10-byte SOS marker and any prefix of scans is decodable.
+    """
+    ops = [
+        scan_ops([(ci.components[c].coeffs, td, ta) for c, td, ta in comps],
+                 ss, se, markers.MAX_EOBRUN[sof])
+        for comps, ss, se in scans
+    ]
+    freqs: dict[tuple[int, int], np.ndarray] = defaultdict(
+        lambda: np.zeros(256, dtype=np.int64)
+    )
+    for scan in ops:
+        for key, sym, _, _ in scan:
+            freqs[key][sym] += 1
+    tables = {key: build_optimal_table(f) for key, f in freqs.items()}
+
+    out = _header(ci, sof)
+    if sof == markers.SOF0:
+        groups = [[(0, t), (1, t)] for t in sorted({t for _, t in tables})]
+    else:
+        groups = [sorted(tables)]
+    for keys in groups:
         out += markers.seg(
-            markers.DHT,
-            _dht_payload(dc_tabs[tid], 0, tid) + _dht_payload(ac_tabs[tid], 1, tid),
+            markers.DHT, b"".join(_dht_payload(tables[k], *k) for k in keys)
         )
-    sos = bytes([nc])
-    for c, comp in enumerate(ci.components):
-        sos += bytes([comp.comp_id, tids[c] << 4 | tids[c]])
-    sos += bytes([0, 63, 0])
-    out += markers.seg(markers.SOS, sos)
-
-    w = BitWriter()
-    n_mcu = ci.components[0].coeffs.shape[0]
-    for m in range(n_mcu):
-        for c in range(nc):
-            sym, bits, size = dc_ops[c][m]
-            w.write_code(dc_tabs[tids[c]], sym)
+    for (comps, ss, se), scan in zip(scans, ops):
+        sos = bytes([len(comps)])
+        for c, td, ta in comps:
+            sos += bytes([ci.components[c].comp_id, td << 4 | ta])
+        out += markers.seg(markers.SOS, sos + bytes([ss, se, 0]))
+        w = BitWriter()
+        for key, sym, bits, size in scan:
+            w.write_code(tables[key], sym)
             w.write(bits, size)
-            for sym, bits, size in ac_ops[c][m]:
-                w.write_code(ac_tabs[tids[c]], sym)
-                w.write(bits, size)
-    out += w.getvalue()
+        out += w.getvalue()
     out += markers.seg(markers.EOI)
     return out
+
+
+def encode_baseline_from_coeffs(ci: CoeffImage) -> bytes:
+    """Serialize a coefficient image as baseline sequential JPEG."""
+    # Table ids: 0 = luma, 1 = chroma (components 2,3 share id 1).
+    comps = [(c, min(c, 1), min(c, 1)) for c in range(ci.n_components)]
+    return encode_scans(ci, markers.SOF0, [(comps, 0, 63)])
 
 
 def encode_baseline(img: np.ndarray, quality: int = 90) -> bytes:

@@ -1,10 +1,11 @@
 """Shared codec plumbing: color conversion, blocking, coefficient transform.
 
 Components are stored as quantized coefficients in **zigzag order**,
-shape ``(n_blocks, 64)`` with blocks in raster order — the layout both
-the baseline and progressive entropy coders consume. We use 4:4:4
-(no chroma subsampling; see DESIGN.md) so every component shares the
-same block grid.
+shape ``(n_blocks, 64)`` with blocks in raster order — the layout the
+one entropy coder (``baseline.scan_ops``, used for baseline and
+progressive scans alike) consumes. We use 4:4:4 (no chroma
+subsampling; see DESIGN.md) so every component shares the same block
+grid.
 """
 from dataclasses import dataclass
 

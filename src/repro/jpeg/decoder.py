@@ -1,12 +1,16 @@
 """Unified JPEG decoder for our baseline (SOF0) and progressive (SOF2) files.
 
-Decodes marker segments, then entropy-decodes each scan into shared
-per-component coefficient arrays. Truncated streams — the PCR case,
-where only a prefix of the scans is present followed by EOI — decode
-cleanly: missing scans simply leave their coefficient bands at zero,
-and a scan cut mid-stream keeps whatever blocks completed (matching
-"most JPEG decoders render the image with the available subset of
-scans", paper Section 5).
+Decodes marker segments, then entropy-decodes every scan, baseline or
+progressive, with the one loop ``_decode_scan`` into shared
+per-component coefficient arrays. The SOF type fixes which scans are
+legal (baseline: one band 0..63 with plain EOBs; progressive: a DC scan
+or a one-component AC band with EOBn runs); anything else, and
+successive approximation, raises ValueError. Truncated streams — the
+PCR case, where only a prefix of the scans is present followed by
+EOI — decode cleanly: missing scans simply leave their coefficient
+bands at zero, and a scan cut mid-stream keeps whatever blocks
+completed (matching "most JPEG decoders render the image with the
+available subset of scans", paper Section 5).
 """
 import struct
 
@@ -22,11 +26,10 @@ def _parse_dqt(payload: bytes, qtables: dict[int, np.ndarray]) -> None:
     i = 0
     while i < len(payload):
         pq, tq = payload[i] >> 4, payload[i] & 0xF
-        assert pq == 0, "only 8-bit quant tables supported"
+        if pq != 0:
+            raise ValueError("only 8-bit quantization tables are supported")
         zz = np.frombuffer(payload[i + 1 : i + 65], dtype=np.uint8).astype(np.int32)
-        nat = np.zeros(64, dtype=np.int32)
-        nat = zz[UNZIGZAG]
-        qtables[tq] = nat.reshape(8, 8)
+        qtables[tq] = zz[UNZIGZAG].reshape(8, 8)
         i += 65
 
 
@@ -42,15 +45,18 @@ def _parse_dht(payload: bytes, tables: dict[tuple[int, int], HuffmanTable]) -> N
 
 
 class _Frame:
-    def __init__(self, payload: bytes, progressive: bool):
-        self.progressive = progressive
+    def __init__(self, payload: bytes, sof: int):
+        self.progressive = sof == markers.SOF2
+        self.max_eobrun = markers.MAX_EOBRUN[sof]
         prec, self.height, self.width, nf = struct.unpack(">BHHB", payload[:6])
-        assert prec == 8
+        if prec != 8:
+            raise ValueError(f"sample precision {prec}; only 8-bit is supported")
         self.comp_ids: list[int] = []
         self.qtab_ids: list[int] = []
         for c in range(nf):
             cid, hv, tq = payload[6 + 3 * c : 9 + 3 * c]
-            assert hv == 0x11, "only 4:4:4 (1x1 sampling) supported"
+            if hv != 0x11:
+                raise ValueError("only 4:4:4 (1x1 sampling) is supported")
             self.comp_ids.append(cid)
             self.qtab_ids.append(tq)
         self.nby = -(-self.height // 8)
@@ -61,57 +67,67 @@ class _Frame:
         ]
 
 
-def _decode_dc_scan(r: BitReader, frame: _Frame, comps: list[int],
-                    dc_tabs: list[HuffmanTable]) -> None:
+def _check_scan(frame: _Frame, ns: int, ss: int, se: int, ahal: int) -> None:
+    """Reject scan headers that the scan loop would decode to wrong coefficients."""
+    if ahal:
+        raise ValueError("successive approximation (Ah/Al != 0) is not supported")
+    if not frame.progressive:
+        if (ss, se) != (0, 63):
+            raise ValueError(f"baseline scan covers band {ss}..{se}, not 0..63")
+    elif ss > se or se > 63 or ss == 0 < se:
+        raise ValueError(f"invalid progressive scan band {ss}..{se}")
+    elif ss > 0 and ns != 1:
+        raise ValueError(f"progressive AC scan has {ns} components, not 1")
+
+
+def _decode_scan(r: BitReader, frame: _Frame, comps: list[int], ss: int, se: int,
+                 dc_tabs: list[HuffmanTable], ac_tabs: list[HuffmanTable]) -> None:
+    """Decode one scan into ``frame.coeffs``: the inverse of ``scan_ops``.
+
+    Per block and scan component: the DC difference when ss == 0, then
+    the AC band max(ss, 1)..se. An EOBn symbol ends this band and the
+    same band of the next 2**n + extra - 1 blocks; a run longer than the
+    frame type allows is rejected.
+    """
+    out = [frame.coeffs[c] for c in comps]
     preds = [0] * len(comps)
-    for m in range(frame.n_blocks):
-        for j, c in enumerate(comps):
-            size = r.read_symbol(dc_tabs[j])
-            diff = extend(r.read(size), size)
-            preds[j] += diff
-            frame.coeffs[c][m, 0] = preds[j]
-
-
-def _decode_sequential_ac(r: BitReader, tab: HuffmanTable, out: np.ndarray) -> None:
-    k = 1
-    while k < 64:
-        sym = r.read_symbol(tab)
-        run, size = sym >> 4, sym & 0xF
-        if size == 0:
-            if run == 15:
-                k += 16
-                continue
-            break  # EOB
-        k += run
-        out[k] = extend(r.read(size), size)
-        k += 1
-
-
-def _decode_progressive_ac_scan(r: BitReader, frame: _Frame, c: int,
-                                ss: int, se: int, tab: HuffmanTable) -> None:
-    eobrun = 0
-    coeffs = frame.coeffs[c]
+    lo, eobrun = max(ss, 1), 0
     for b in range(frame.n_blocks):
-        if eobrun > 0:
-            eobrun -= 1
-            continue
-        k = ss
-        while k <= se:
-            sym = r.read_symbol(tab)
-            run, size = sym >> 4, sym & 0xF
-            if size == 0:
-                if run == 15:
-                    k += 16
-                    continue
-                eobrun = (1 << run) + (r.read(run) if run else 0) - 1
-                break
-            k += run
-            coeffs[b, k] = extend(r.read(size), size)
-            k += 1
+        for j, coeffs in enumerate(out):
+            if ss == 0:
+                size = r.read_symbol(dc_tabs[j])
+                preds[j] += extend(r.read(size), size)
+                coeffs[b, 0] = preds[j]
+            if se == 0:
+                continue
+            if eobrun:
+                eobrun -= 1
+                continue
+            blk, tab, k = coeffs[b], ac_tabs[j], lo
+            while k <= se:
+                sym = r.read_symbol(tab)
+                run, size = sym >> 4, sym & 0xF
+                if size == 0:
+                    if run == 15:
+                        k += 16
+                        continue
+                    eobrun = (1 << run) + r.read(run)
+                    if eobrun > frame.max_eobrun:
+                        raise ValueError(f"EOB run of {eobrun} blocks; this frame "
+                                         f"type allows {frame.max_eobrun}")
+                    eobrun -= 1
+                    break
+                k += run
+                blk[k] = extend(r.read(size), size)
+                k += 1
 
 
 def decode_to_coeffs(data: bytes) -> CoeffImage:
-    """Entropy-decode a JPEG byte stream to a quantized coefficient image."""
+    """Entropy-decode a JPEG byte stream to a quantized coefficient image.
+
+    Raises ValueError for headers this decoder does not support and for
+    malformed scans.
+    """
     qtables: dict[int, np.ndarray] = {}
     htables: dict[tuple[int, int], HuffmanTable] = {}
     frame: _Frame | None = None
@@ -121,43 +137,25 @@ def decode_to_coeffs(data: bytes) -> CoeffImage:
         elif seg.marker == markers.DHT:
             _parse_dht(seg.payload, htables)
         elif seg.marker in (markers.SOF0, markers.SOF2):
-            frame = _Frame(seg.payload, progressive=seg.marker == markers.SOF2)
+            frame = _Frame(seg.payload, seg.marker)
         elif seg.marker == markers.SOS:
-            assert frame is not None, "SOS before SOF"
+            if frame is None:
+                raise ValueError("SOS before SOF")
             p = seg.payload
             ns = p[0]
-            scan_comps, dc_ids, ac_ids = [], [], []
-            for j in range(ns):
-                cid, tda = p[1 + 2 * j : 3 + 2 * j]
-                scan_comps.append(frame.comp_ids.index(cid))
-                dc_ids.append(tda >> 4)
-                ac_ids.append(tda & 0xF)
             ss, se, ahal = p[1 + 2 * ns : 4 + 2 * ns]
-            r = BitReader(seg.entropy)
+            _check_scan(frame, ns, ss, se, ahal)
+            comps = [frame.comp_ids.index(p[1 + 2 * j]) for j in range(ns)]
+            sel = [p[2 + 2 * j] for j in range(ns)]  # Td << 4 | Ta
+            dc_tabs = [htables[(0, t >> 4)] for t in sel] if ss == 0 else []
+            ac_tabs = [htables[(1, t & 0xF)] for t in sel] if se > 0 else []
             try:
-                if ss == 0 and (not frame.progressive) and se == 63:
-                    # Baseline interleaved scan: DC + AC per block.
-                    preds = [0] * ns
-                    dts = [htables[(0, d)] for d in dc_ids]
-                    ats = [htables[(1, a)] for a in ac_ids]
-                    for m in range(frame.n_blocks):
-                        for j, c in enumerate(scan_comps):
-                            size = r.read_symbol(dts[j])
-                            preds[j] += extend(r.read(size), size)
-                            frame.coeffs[c][m, 0] = preds[j]
-                            _decode_sequential_ac(r, ats[j], frame.coeffs[c][m])
-                elif ss == 0 and se == 0:
-                    _decode_dc_scan(
-                        r, frame, scan_comps, [htables[(0, d)] for d in dc_ids]
-                    )
-                else:
-                    assert ns == 1, "progressive AC scans are single-component"
-                    _decode_progressive_ac_scan(
-                        r, frame, scan_comps[0], ss, se, htables[(1, ac_ids[0])]
-                    )
+                _decode_scan(BitReader(seg.entropy), frame, comps, ss, se,
+                             dc_tabs, ac_tabs)
             except EOFError:
                 pass  # truncated final scan: keep what decoded so far
-    assert frame is not None, "no frame found"
+    if frame is None:
+        raise ValueError("no frame (SOF0/SOF2) found")
     comps = [
         Component(frame.comp_ids[c], frame.qtab_ids[c], frame.coeffs[c],
                   frame.nby, frame.nbx)

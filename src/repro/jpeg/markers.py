@@ -20,6 +20,10 @@ DQT = 0xFFDB
 APP0 = 0xFFE0
 COM = 0xFFFE
 
+# Longest end-of-band run one EOB symbol may code in a scan of each frame
+# type: baseline has only the plain EOB, progressive EOB0..EOB14 (T.81 G.1.2.2).
+MAX_EOBRUN = {SOF0: 1, SOF2: 0x7FFF}
+
 _STANDALONE = {SOI, EOI}  # markers with no length field we ever emit
 
 

@@ -5,9 +5,12 @@ early luma AC, full chroma early, then widening luma AC bands) but uses
 spectral selection only — see DESIGN.md §3 for why this substitution
 preserves everything the paper relies on.
 
-All Huffman tables (per-class DC tables + one shared optimal AC table
-covering every AC scan's symbols) are emitted in the file header, ahead
-of the first SOS. This keeps per-scan overhead to the ~10-byte SOS
+This module only chooses the scans and their Huffman table ids; the
+entropy coding is ``baseline.scan_ops``, the same band coder the
+baseline encoder uses, with end-of-band runs of up to 0x7FFF blocks.
+All Huffman tables (per-class DC tables + four optimal AC tables shared
+by AC scans with similar statistics) are emitted in the file header,
+ahead of the first SOS. This keeps per-scan overhead to the ~10-byte SOS
 marker, so a PCR's scan groups carry almost pure entropy data and the
 progressive file stays at or below the baseline file's size on
 realistic images (the paper's "PCRs are usually 5% smaller than
@@ -18,9 +21,8 @@ header span.
 import numpy as np
 
 from . import markers
-from .baseline import Ops, _count, _dc_op, _dht_payload, _header
+from .baseline import encode_scans
 from .codec import CoeffImage, forward
-from .huffman import BitWriter, build_optimal_table, magnitude_bits
 
 # (component index or None for interleaved-DC, Ss, Se)
 SCRIPT_COLOR: list[tuple[int | None, int, int]] = [
@@ -79,118 +81,20 @@ def _ac_table_classes(script) -> dict[int, int]:
     return classes
 
 
-def _ac_band_ops(coeffs: np.ndarray, ss: int, se: int) -> Ops:
-    """Progressive first-pass AC coding (Ah=Al=0) of one component's band.
-
-    Standard G.1.2.2: run/size symbols with EOBn end-of-band run codes.
-    """
-    ops: Ops = []
-    eobrun = 0
-
-    def flush_eob():
-        nonlocal eobrun
-        if eobrun == 0:
-            return
-        n = eobrun.bit_length() - 1
-        ops.append((n << 4, eobrun - (1 << n), n))
-        eobrun = 0
-
-    band = coeffs[:, ss : se + 1]
-    nonzero_any = np.any(band != 0, axis=1)
-    for b in range(band.shape[0]):
-        if not nonzero_any[b]:
-            eobrun += 1
-            if eobrun == 0x7FFF:
-                flush_eob()
-            continue
-        row = band[b]
-        run = 0
-        last_nz = np.nonzero(row)[0][-1]
-        flush_eob()
-        for k in range(last_nz + 1):
-            v = int(row[k])
-            if v == 0:
-                run += 1
-                continue
-            while run > 15:
-                ops.append((0xF0, 0, 0))
-                run -= 16
-            bits, size = magnitude_bits(v)
-            ops.append(((run << 4) | size, bits, size))
-            run = 0
-        if last_nz < band.shape[1] - 1:
-            eobrun += 1
-            if eobrun == 0x7FFF:
-                flush_eob()
-    flush_eob()
-    return ops
-
-
 def encode_progressive_from_coeffs(ci: CoeffImage) -> bytes:
     """Serialize a coefficient image as a 10-scan progressive JPEG."""
     nc = ci.n_components
     script = script_for(nc)
-    tids = [0 if c == 0 else 1 for c in range(nc)]
-
-    # Pass 1: gather ops for every scan.
-    dc_ops = [[] for _ in range(nc)]
-    for c, comp in enumerate(ci.components):
-        pred = 0
-        for blk in comp.coeffs:
-            dc_ops[c].append(_dc_op(int(blk[0]) - pred))
-            pred = int(blk[0])
-    ac_scan_ops: dict[int, Ops] = {}
-    for si, (comp_idx, ss, se) in enumerate(script):
-        if comp_idx is not None:
-            ac_scan_ops[si] = _ac_band_ops(ci.components[comp_idx].coeffs, ss, se)
-
-    # Build tables: one DC table per luma/chroma class; AC scans share
-    # JPEG's four AC table slots, clustered by scan statistics (early
-    # luma / chroma / mid luma / high luma) with one optimal table each.
-    dc_tabs = {}
-    for tid in sorted(set(tids)):
-        comps = [c for c in range(nc) if tids[c] == tid]
-        dc_tabs[tid] = build_optimal_table(sum(_count(dc_ops[c]) for c in comps))
+    # DC table ids: 0 = luma, 1 = chroma. AC scans share JPEG's four AC
+    # table slots, clustered by scan statistics (early luma / chroma /
+    # mid luma / high luma).
     ac_class = _ac_table_classes(script)
-    ac_tabs: dict[int, object] = {}
-    for cls in sorted(set(ac_class.values())):
-        freq = np.zeros(256, dtype=np.int64)
-        for si, c in ac_class.items():
-            if c == cls:
-                freq += _count(ac_scan_ops[si])
-        ac_tabs[cls] = build_optimal_table(freq)
-
-    # Header: SOI/APP0/DQT/SOF2 + all DHTs (always-read span in a PCR).
-    out = _header(ci, markers.SOF2)
-    dht = b"".join(_dht_payload(dc_tabs[t], 0, t) for t in sorted(dc_tabs))
-    dht += b"".join(_dht_payload(ac_tabs[t], 1, t) for t in sorted(ac_tabs))
-    out += markers.seg(markers.DHT, dht)
-
-    for si, (comp_idx, ss, se) in enumerate(script):
-        w = BitWriter()
-        if comp_idx is None:
-            sos = bytes([nc])
-            for c, comp in enumerate(ci.components):
-                sos += bytes([comp.comp_id, tids[c] << 4])
-            sos += bytes([0, 0, 0])
-            out += markers.seg(markers.SOS, sos)
-            n_mcu = ci.components[0].coeffs.shape[0]
-            for m in range(n_mcu):
-                for c in range(nc):
-                    sym, bits, size = dc_ops[c][m]
-                    w.write_code(dc_tabs[tids[c]], sym)
-                    w.write(bits, size)
-        else:
-            comp = ci.components[comp_idx]
-            tab = ac_tabs[ac_class[si]]
-            sos = bytes([1, comp.comp_id, ac_class[si]]) + bytes([ss, se, 0])
-            out += markers.seg(markers.SOS, sos)
-            for sym, bits, size in ac_scan_ops[si]:
-                w.write_code(tab, sym)
-                w.write(bits, size)
-        out += w.getvalue()
-    out += markers.seg(markers.EOI)
-    return out
+    scans = [
+        ([(c, min(c, 1), 0) for c in range(nc)], ss, se) if comp is None
+        else ([(comp, 0, ac_class[si])], ss, se)
+        for si, (comp, ss, se) in enumerate(script)
+    ]
+    return encode_scans(ci, markers.SOF2, scans)
 
 
 def encode_progressive(img: np.ndarray, quality: int = 90) -> bytes:
