@@ -11,6 +11,10 @@ Payload is a minimal "example": ``i32 label | u32 jpeg_len | jpeg``.
 import struct
 import zlib
 
+# Bytes each image costs on disk beyond its JPEG: 16 B of record framing
+# (u64 length + two u32 CRCs) and the 8 B example header (label + length).
+RECORD_OVERHEAD = 16 + 8
+
 
 def _masked_crc(data: bytes) -> int:
     crc = zlib.crc32(data) & 0xFFFFFFFF

@@ -16,7 +16,8 @@ from pyspark.sql import SparkSession
 from repro.core import harness
 from repro.core.analysis import scan_size_stats
 from repro.core.dataset import collect_features, features_to_arrays, read_metadata
-from repro.iosim.pipeline import epoch_time
+from repro.formats import tfrecord
+from repro.iosim.pipeline import epoch_time, time_to_accuracy
 from repro.iosim.storage import MiB
 from repro.synth_images import SPECS, n_images
 from repro.train.autotune import autotune_train, static_train
@@ -119,11 +120,6 @@ def fig7_time_to_accuracy(spark: SparkSession, dataset: str, sf: float = 1.0,
         target = target_frac * curves[10][-1]
         for g in scans:
             accs = curves[g]
-            tta = None
-            for e, a in enumerate(accs):
-                if a >= target:
-                    tta = (e + 1) * spe[g]
-                    break
             rows.append(
                 {
                     "dataset": dataset,
@@ -132,7 +128,7 @@ def fig7_time_to_accuracy(spark: SparkSession, dataset: str, sf: float = 1.0,
                     "final_acc": accs[-1],
                     "epoch_s": spe[g],
                     "total_time_s": EPOCHS * spe[g],
-                    "time_to_target_s": tta,
+                    "time_to_target_s": time_to_accuracy(accs, target, spe[g]),
                 }
             )
     return pd.DataFrame(rows)
@@ -216,7 +212,8 @@ def fig14_autotune(spark: SparkSession, dataset: str = "imagenet_lite",
     W = harness.reference_bandwidth(meta)
     tf_epoch = epoch_time(
         n_images(SPECS[dataset], sf), W,
-        float(stats["mean_baseline"]) + 24, harness.cluster_rate(model),
+        float(stats["mean_baseline"]) + tfrecord.RECORD_OVERHEAD,
+        harness.cluster_rate(model),
     )
     rows.append(
         {
@@ -253,17 +250,13 @@ def fig16_bandwidth_sweep(spark: SparkSession, dataset: str = "imagenet_lite",
             W = frac * W_ref
             spe = seconds_per_epoch(spark, dataset, sf, model, bandwidth=W)
             for g in scans:
-                tta = None
-                for e, a in enumerate(curves[g]):
-                    if a >= target:
-                        tta = (e + 1) * spe[g]
-                        break
                 rows.append(
                     {
                         "model": model,
                         "bandwidth_MiB_s": W / MiB,
                         "scan": g,
-                        "time_to_target_s": tta,
+                        "time_to_target_s": time_to_accuracy(
+                            curves[g], target, spe[g]),
                         "final_acc": curves[g][-1],
                     }
                 )

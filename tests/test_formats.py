@@ -1,9 +1,9 @@
-"""Unit tests for the baseline record layouts (TFRecord, File-per-Image)."""
+"""Unit tests for the TFRecord baseline record layout."""
 import os
 
 import pytest
 
-from repro.formats import fpi, tfrecord
+from repro.formats import tfrecord
 
 
 @pytest.fixture()
@@ -27,6 +27,7 @@ def test_tfrecord_framing_overhead(tmp_path, items):
     payload = sum(len(j) for j, _ in items)
     # 16 bytes framing + 8 bytes example header per record.
     assert total == payload + 24 * len(items)
+    assert tfrecord.RECORD_OVERHEAD == 24
 
 
 def test_tfrecord_crc_detects_corruption(tmp_path, items):
@@ -38,17 +39,3 @@ def test_tfrecord_crc_detects_corruption(tmp_path, items):
     with pytest.raises(AssertionError):
         tfrecord.read_tfrecord(p)
 
-
-def test_fpi_roundtrip(tmp_path, items):
-    d = str(tmp_path / "fpi")
-    paths = fpi.write_fpi(d, items)
-    assert len(paths) == len(items)
-    out = fpi.read_fpi(d)
-    assert [(l, j) for j, l in items] == out
-
-
-def test_fpi_one_file_per_image(tmp_path, items):
-    d = str(tmp_path / "fpi")
-    fpi.write_fpi(d, items)
-    jpgs = [f for f in os.listdir(d) if f.endswith(".jpg")]
-    assert len(jpgs) == len(items)

@@ -51,27 +51,3 @@ def test_fmt_table_float_formatting():
     pdf = pd.DataFrame({"x": [1234.5678]})
     assert "1.23e+03" in harness.fmt_table(pdf)
 
-
-def test_jobs_importable_and_have_run():
-    """Every job module exposes run(spark) (spark-submit contract)."""
-    import importlib.util
-    import sys
-
-    jobs_dir = os.path.join(os.path.dirname(__file__), "..", "jobs")
-    sys.path.insert(0, jobs_dir)
-    try:
-        names = [
-            f[:-3]
-            for f in os.listdir(jobs_dir)
-            if f.endswith(".py") and not f.startswith("_")
-        ]
-        assert len(names) >= 12
-        for name in names:
-            spec = importlib.util.spec_from_file_location(
-                name, os.path.join(jobs_dir, f"{name}.py")
-            )
-            mod = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(mod)
-            assert callable(getattr(mod, "run")), name
-    finally:
-        sys.path.remove(jobs_dir)

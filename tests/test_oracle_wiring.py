@@ -1,50 +1,55 @@
-"""Sanity checks that the provided DuckDB oracle catches real mismatches."""
+"""Sanity checks that the DuckDB oracle catches real mismatches.
+
+They run over the PCR metadata sidecar of the session dataset, the
+table every Spark aggregation in the reproduction reads.
+"""
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.core.dataset import load_features, read_metadata
 from repro.oracle import assert_equivalent
 
 
-def test_oracle_accepts_matching_aggregation(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("qty"), F.count("*").alias("n")
+def test_oracle_accepts_matching_aggregation(spark, celeba_dir):
+    meta = read_metadata(spark, celeba_dir)
+    got = meta.groupBy("label").agg(
+        F.sum("progressive_bytes").alias("nbytes"), F.count("*").alias("n")
     )
     assert_equivalent(
         got,
-        "SELECT l_returnflag, sum(l_quantity) AS qty, count(*) AS n "
-        "FROM lineitem GROUP BY l_returnflag",
-        lineitem=li,
+        "SELECT label, sum(progressive_bytes) AS nbytes, count(*) AS n "
+        "FROM meta GROUP BY label",
+        meta=meta,
     )
 
 
-def test_oracle_rejects_wrong_result(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    wrong = li.groupBy("l_returnflag").agg(
-        (F.sum("l_quantity") + 1).alias("qty")
+def test_oracle_rejects_wrong_result(spark, celeba_dir):
+    meta = read_metadata(spark, celeba_dir)
+    wrong = meta.groupBy("label").agg(
+        (F.sum("progressive_bytes") + 1).alias("nbytes"),
+        F.count("*").alias("n"),
     )
     with pytest.raises(AssertionError):
         assert_equivalent(
             wrong,
-            "SELECT l_returnflag, sum(l_quantity) AS qty "
-            "FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
+            "SELECT label, sum(progressive_bytes) AS nbytes, count(*) AS n "
+            "FROM meta GROUP BY label",
+            meta=meta,
         )
 
 
-def test_oracle_join_path(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    o = synth_data.orders(spark, sf=0.001)
+def test_oracle_join_path(spark, celeba_dir):
+    meta = read_metadata(spark, celeba_dir)
+    feats = load_features(spark, celeba_dir, 1).select("record", "pos", "label")
     got = (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .groupBy("o_orderpriority")
+        feats.join(meta.select("record", "pos", "is_test"), on=["record", "pos"])
+        .groupBy("is_test")
         .agg(F.count("*").alias("n"))
     )
     assert_equivalent(
         got,
-        "SELECT o_orderpriority, count(*) AS n FROM lineitem "
-        "JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority",
-        lineitem=li,
-        orders=o,
+        "SELECT is_test, count(*) AS n FROM feats "
+        "JOIN meta USING (record, pos) GROUP BY is_test",
+        feats=feats,
+        meta=meta,
     )
